@@ -49,6 +49,7 @@ from .priors import (
     mmse,
     mutual_info,
     normalize_unit_second_moment,
+    posterior_mean,
     tilt_log_mgf,
     tilted_moments,
 )

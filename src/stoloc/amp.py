@@ -18,7 +18,7 @@ from .errors import (
     SymmetricPrior,
     WeakCharacteristic,
 )
-from .priors import char_fn_imag, denoise, mmse
+from .priors import char_fn_imag, denoise, mmse, posterior_mean
 from .se import run_se_linear, run_se_spiked
 
 SIGN_GRID_POINTS = 500
@@ -86,14 +86,14 @@ def amp_spiked(x, y, t, beta, prior, K, nu, theta=None,
     record = (theta is not None) if record_trace is None else record_trace
     trace = {}
     z = nu + np.zeros_like(y)
-    m = denoise(prior, z, se.gammas[0]).mean
+    m = posterior_mean(prior, z, se.gammas[0])
     m_prev = np.zeros_like(m)
     if record:
         _record(trace, np.atleast_2d(m.T).T, theta)
     for k in range(int(K)):
         z = beta * (x @ m) + y - se.onsager[k] * m_prev
         m_prev = m
-        m = denoise(prior, z, se.gammas[k + 1]).mean
+        m = posterior_mean(prior, z, se.gammas[k + 1])
         if record:
             _record(trace, np.atleast_2d(m.T).T, theta)
     kk = int(K)
@@ -147,7 +147,7 @@ def amp_matrix(y_mat, t, prior, K, nu_t, theta=None, record_trace=None):
     record = (theta is not None) if record_trace is None else record_trace
     trace = {}
     z = nu_t.copy()
-    m = denoise(prior, z, alphas[0]).mean
+    m = posterior_mean(prior, z, alphas[0])
     m_prev = np.zeros_like(m)
     if record:
         _record(trace, np.atleast_2d(m.T).T, theta)
@@ -155,7 +155,7 @@ def amp_matrix(y_mat, t, prior, K, nu_t, theta=None, record_trace=None):
         b_k = t * mmse(prior, alphas[k])
         z = y_mat @ m - b_k * m_prev
         m_prev = m
-        m = denoise(prior, z, alphas[k + 1]).mean
+        m = posterior_mean(prior, z, alphas[k + 1])
         if record:
             _record(trace, np.atleast_2d(m.T).T, theta)
     return AmpState(k=int(K), m_hat=m, m_hat_prev=m_prev, z=z,
@@ -194,23 +194,24 @@ def amp_linear_side(x, y0, z_side, t, prior, sigma2, delta, K, theta=None,
     trace = {}
     a_prev = np.zeros_like(y0)
     b = x.T @ f(-1, a_prev)
-    g_eff = None
-    for k in range(int(K) + 1):
-        # the trace's gamma_k = delta/(sigma2 + E_{k-1}) + t is already the
-        # combined data + side channel strength
-        g_eff = se.gammas[k]
-        obs = inv_s2 * b + z_side
-        ev = denoise(prior, obs, g_eff)
+    # the trace's gamma_k = delta/(sigma2 + E_{k-1}) + t is already the
+    # combined data + side channel strength
+    for k in range(int(K)):
+        m = posterior_mean(prior, inv_s2 * b + z_side, se.gammas[k])
         if record:
-            _record(trace, np.atleast_2d(ev.mean.T).T, theta)
-        if k == int(K):
-            return AmpState(k=int(K), m_hat=ev.mean, s_hat=ev.second_moment,
-                            a=a_prev, b=b, gamma=float(g_eff),
-                            lam=obs, trace=trace)
-        a = x @ ev.mean - se.onsager_eta[k] * f(k - 1, a_prev)
-        b = x.T @ f(k, a) - se.onsager_xi[k] * ev.mean
+            _record(trace, np.atleast_2d(m.T).T, theta)
+        a = x @ m - se.onsager_eta[k] * f(k - 1, a_prev)
+        b = x.T @ f(k, a) - se.onsager_xi[k] * m
         a_prev = a
-    raise AssertionError("unreachable")
+    # only the output needs the second moment (it seeds the TAP stage)
+    kk = int(K)
+    obs = inv_s2 * b + z_side
+    ev = denoise(prior, obs, se.gammas[kk])
+    if record:
+        _record(trace, np.atleast_2d(ev.mean.T).T, theta)
+    return AmpState(k=kk, m_hat=ev.mean, s_hat=ev.second_moment,
+                    a=a_prev, b=b, gamma=float(se.gammas[kk]), lam=obs,
+                    trace=trace)
 
 
 def amp_linear(x, y0, prior, sigma2, delta, K, theta=None,

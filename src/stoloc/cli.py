@@ -305,15 +305,16 @@ def cmd_sample(spec, out):
             out.write_csv(f"trajectory_rep{r:04d}.csv", hdr, rows)
 
     if "histogram" in spec["emit"] and beta is not None and prior.is_discrete:
-        # overlap statistics live on the sign-broken branch: undo the final
-        # symmetrizing flip and condition the hidden signal on the same
-        # spectral half-space the prediction is computed in
+        # overlap statistics live on the sign-broken branch: condition each
+        # rounded sample and the hidden signal on the spectral half-space
+        # the prediction is computed in (each rep drew its own sign)
         nu = spectral_init(inst.X, inst.beta,
                            rng=stream(spec["seed"], "hist-eig"))
         samples = np.stack([
-            round_to_support(rec.theta_alg * (rec.sign_used or 1), prior,
+            round_to_support(rec.theta_alg, prior,
                              stream(spec["seed"], "round", r))
             for r, rec in enumerate(records)])
+        samples *= np.where(samples @ nu >= 0, 1.0, -1.0)[:, None]
         theta_branch = inst.theta * (1 if inst.theta @ nu >= 0 else -1)
         emp = empirical_overlap_pmf(samples, theta_branch)
         m00 = amp_spiked(inst.X, np.zeros(inst.n), 0.0, inst.beta, prior,

@@ -15,6 +15,14 @@ Conventions:
 * ``phi(lam, w) = log E[exp(lam * Theta - w * Theta^2 / 2)]`` is the tilted
   log-partition shared by the univariate and bivariate Legendre transforms.
 
+The posterior mean has one kernel, :func:`posterior_mean`, which every
+AMP iteration calls and :func:`denoise` (mean, variance and second moment)
+builds on. On two atoms ``{x0, x1}`` it is the closed form
+``mid + half * tanh(half * z + c)`` (``tanh(z)`` for Z2); on other discrete
+priors it loops over the atoms with a running max and builds no
+``(..., s)`` array; on continuous priors it is the grid softmax. Non-finite
+observations raise :class:`NumericalUnderflow` on every branch.
+
 All exponentials are evaluated with max-subtraction; continuous-prior
 integrals use a 2001-point uniform grid over ``[-R, R]`` where ``R`` is the
 quadrature truncation radius (the prior is treated as truncated there, and
@@ -24,7 +32,6 @@ the truncation error is part of the stated tolerance budget).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import (
     DivergentIntegral,
@@ -339,46 +346,95 @@ def _tilt_logweights(prior, lam, gamma):
     return lw
 
 
-def _tilt_moments_raw(prior, lam, gamma):
-    """(m, s, logZ) of the tilted measure, vectorized over lam/gamma."""
-    pts, logp = prior._points()
-    if len(pts) == 2:
-        # two-point support: one stable sigmoid instead of a softmax
-        lam = np.asarray(lam, dtype=float)
-        gamma = np.asarray(gamma, dtype=float)
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))):
-            raise NumericalUnderflow("tilted weights are not representable")
-        x0, x1 = pts
-        d = (logp[1] - logp[0] + lam * (x1 - x0)
-             - 0.5 * gamma * (x1 * x1 - x0 * x0))
-        w1 = scipy.special.expit(d)
-        m = x0 + (x1 - x0) * w1
-        s = x0 * x0 + (x1 * x1 - x0 * x0) * w1
-        logz = (logp[0] + lam * x0 - 0.5 * gamma * x0 * x0
-                + np.logaddexp(0.0, d))
-        return m, s, logz
+def _tilt_softmax(prior, lam, gamma):
+    """Unnormalized weights ``w`` (support axis last, max-subtracted) of
+    the tilted measure and their sums."""
     lw = _tilt_logweights(prior, lam, gamma)
     mx = np.max(lw, axis=-1, keepdims=True)
     if not np.all(np.isfinite(mx)):
         raise NumericalUnderflow("tilted weights are not representable")
     np.subtract(lw, mx, out=lw)
     w = np.exp(lw, out=lw)
-    z = np.sum(w, axis=-1)
-    m = (w @ pts) / z
-    s = (w @ (pts * pts)) / z
-    logz = np.log(z) + np.squeeze(mx, axis=-1)
-    return m, s, logz
+    return w, np.sum(w, axis=-1)
+
+
+def _tilt_moments_raw(prior, lam, gamma):
+    """(m, s) of the tilted measure, vectorized over lam/gamma."""
+    pts, _ = prior._points()
+    w, z = _tilt_softmax(prior, lam, gamma)
+    return (w @ pts) / z, (w @ (pts * pts)) / z
+
+
+def posterior_mean(prior, z, gamma):
+    """Posterior mean ``F(z; gamma)`` of Theta given ``gamma*Theta +
+    sqrt(gamma)*G = z``, entrywise over ``z`` (``gamma`` broadcasts).
+
+    The only place the mean is computed: :func:`denoise` takes its
+    ``mean`` from here. Non-finite input raises
+    :class:`NumericalUnderflow`; tilts that push a continuous prior's mass
+    off its grid raise :class:`DivergentIntegral`.
+    """
+    z = np.asarray(z, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim:
+        z, gamma = np.broadcast_arrays(z, gamma)
+    if z.ndim == 0:
+        return posterior_mean(prior, z[None], gamma)[0]
+    pts, logp = prior._points()
+    if is_two_atom(prior):
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(gamma))):
+            raise NumericalUnderflow("tilted weights are not representable")
+        # mid + half * tanh(d/2), d the log-odds of the upper atom
+        x0, x1 = pts
+        mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+        out = np.multiply(z, half)
+        out += 0.5 * (logp[1] - logp[0]) - gamma * (half * mid)
+        np.tanh(out, out=out)
+        out *= half
+        out += mid
+        return out
+    if prior.is_discrete:
+        return _atom_loop_mean(pts, logp, z, gamma)
+    _check_tilt_in_range(prior, z, gamma)
+    w, zsum = _tilt_softmax(prior, z, gamma)
+    return (w @ pts) / zsum
+
+
+def _atom_loop_mean(atoms, logp, z, gamma):
+    """Softmax mean over a small support, one pass per atom for the max
+    and one for the sums, so no ``(..., s)`` array is built."""
+    consts = logp - 0.5 * gamma[..., None] * atoms * atoms
+    lw = np.empty(z.shape)
+    mx = np.full(z.shape, -np.inf)
+    for j, a in enumerate(atoms):
+        np.multiply(z, a, out=lw)
+        lw += consts[..., j]
+        np.maximum(mx, lw, out=mx)
+    if not np.all(np.isfinite(mx)):
+        raise NumericalUnderflow("tilted weights are not representable")
+    num = np.zeros(z.shape)
+    den = np.zeros(z.shape)
+    for j, a in enumerate(atoms):
+        np.multiply(z, a, out=lw)
+        lw += consts[..., j]
+        lw -= mx
+        np.exp(lw, out=lw)
+        den += lw
+        lw *= a
+        num += lw
+    num /= den
+    return num
 
 
 def denoise(prior, z, gamma):
     """Posterior moments of Theta from ``gamma*Theta + sqrt(gamma)*G = z``.
 
     Accepts scalar or array ``z`` and returns a :class:`ChannelEval` of
-    matching shape. This is the scalar denoiser applied entrywise.
+    matching shape. The mean is :func:`posterior_mean`'s; AMP iterations
+    that need only the mean call that directly.
     """
-    if not prior.is_discrete:
-        _check_tilt_in_range(prior, z, gamma)
-    m, s, _ = _tilt_moments_raw(prior, z, gamma)
+    m = posterior_mean(prior, z, gamma)
+    _, s = _tilt_moments_raw(prior, z, gamma)
     var = np.maximum(s - m * m, 0.0)
     return ChannelEval(mean=m, variance=var, second_moment=s)
 
@@ -402,7 +458,7 @@ def tilted_moments(prior, lam, gamma):
     """First and second moments of the (lam, gamma)-tilted prior."""
     if not prior.is_discrete:
         _check_tilt_in_range(prior, lam, gamma)
-    m, s, _ = _tilt_moments_raw(prior, lam, gamma)
+    m, s = _tilt_moments_raw(prior, lam, gamma)
     return m, s
 
 
@@ -542,7 +598,7 @@ def legendre_lambda(prior, m, w, lam0=None, tol=1e-10, max_iter=200):
     if np.any(m <= lo) or np.any(m >= hi):
         raise OutOfDomain("target mean outside the attainable interval")
     lam = np.zeros_like(m) if lam0 is None else np.array(lam0, dtype=float)
-    mean, s, _ = _tilt_moments_raw(prior, lam, w)
+    mean, s = _tilt_moments_raw(prior, lam, w)
     r = mean - m
     for _ in range(max_iter):
         if np.max(np.abs(r)) <= tol:
@@ -553,7 +609,7 @@ def legendre_lambda(prior, m, w, lam0=None, tol=1e-10, max_iter=200):
         active = np.abs(r) > tol
         for _ in range(60):
             trial = lam - scale * step
-            mean_t, s_t, _ = _tilt_moments_raw(prior, trial, w)
+            mean_t, s_t = _tilt_moments_raw(prior, trial, w)
             r_t = mean_t - m
             worse = active & (np.abs(r_t) > np.abs(r))
             if not np.any(worse):
@@ -610,7 +666,7 @@ def legendre_h_bivariate(prior, m, s, tol=1e-10, max_iter=200):
         val = lam * m - float(tilt_log_mgf(prior, lam, 0.0))
         return val, lam, 0.0
     lam, gam = 0.0, 0.0
-    mm, ss, _ = _tilt_moments_raw(prior, lam, gam)
+    mm, ss = _tilt_moments_raw(prior, lam, gam)
     r = np.hypot(mm - m, ss - s)
     for _ in range(max_iter):
         if r <= tol:
@@ -624,7 +680,7 @@ def legendre_h_bivariate(prior, m, s, tol=1e-10, max_iter=200):
         for _ in range(60):
             lam_t, gam_t = lam - scale * dlam, gam - scale * dgam
             try:
-                mm_t, ss_t, _ = _tilt_moments_raw(prior, lam_t, gam_t)
+                mm_t, ss_t = _tilt_moments_raw(prior, lam_t, gam_t)
             except NumericalUnderflow:
                 scale /= 2
                 continue

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonpositiveGamma, SubcriticalBeta
+from .errors import NoConvergence, NonpositiveGamma, SubcriticalBeta
 from .priors import mmse, mutual_info
 
 FIXED_POINT_TOL = 1e-12
@@ -60,6 +60,9 @@ def _gamma_star(prior, beta, t):
             g = g_next
             break
         g = g_next
+    else:
+        raise NoConvergence("spiked state evolution did not reach its "
+                            f"fixed point in {FIXED_POINT_MAX_STEPS} steps")
     prior._se_cache[key] = g
     return g
 
@@ -68,7 +71,9 @@ def run_se_spiked(prior, beta, t, K, allow_subcritical=False, with_phi=False):
     """Spiked state evolution: ``gamma^{k+1} = beta^2 (1 - mmse(gamma^k)) + t``.
 
     Starts at ``gamma^0 = beta^2 - 1`` and iterates K steps; the fixed point
-    continues the recursion to residual 1e-12. ``beta <= 1`` raises unless
+    continues the recursion to residual 1e-12 and raises
+    :class:`NoConvergence` past ``FIXED_POINT_MAX_STEPS``. ``beta <= 1``
+    raises unless
     ``allow_subcritical`` (then ``gamma^0 = max(beta^2 - 1, 0)`` and the
     spectral direction carries no information).
     """
@@ -113,7 +118,9 @@ def run_se_linear(prior, delta, sigma2, t, K):
     """Linear state evolution: ``E_k = mmse(delta/(sigma2 + E_{k-1}) + t)``.
 
     Initialization ``E_{-1} = 1``; the fixed point continues the recursion
-    to residual 1e-12 (non-uniqueness is a scan concern, not an error).
+    to residual 1e-12 and raises :class:`NoConvergence` past
+    ``FIXED_POINT_MAX_STEPS`` (non-uniqueness is a scan concern, not an
+    error).
     """
     if delta <= 0 or sigma2 <= 0 or t < 0:
         raise ValueError("need delta > 0, sigma2 > 0, t >= 0")
@@ -139,6 +146,10 @@ def run_se_linear(prior, delta, sigma2, t, K):
                 e_star = e_next
                 break
             e_star = e_next
+        else:
+            raise NoConvergence("linear state evolution did not reach its "
+                                f"fixed point in {FIXED_POINT_MAX_STEPS} "
+                                "steps")
         prior._se_cache[e_key] = e_star
     es = np.asarray(es)
     gammas = np.asarray(gammas)

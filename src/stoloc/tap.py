@@ -158,13 +158,15 @@ def tangent_gd(problem, m_init, K_GD, zeta, history=None):
     m0 = radius * m_init / nrm
     basis = tangent_basis(m0)
     w = np.zeros(n - 1)
-    lam_warm = None
+    v = m0 + basis.matvec(w)
+    r = np.linalg.norm(v)
+    # (value, grad, lambda) at the current iterate: the accepted trial
+    # evaluation of one step is the starting evaluation of the next
+    current = None
     for _ in range(int(K_GD)):
-        v = m0 + basis.matvec(w)
-        r = np.linalg.norm(v)
-        phi = radius * v / r
-        value, grad_m, lam_warm = f_tap_spiked(problem, phi, lam0=lam_warm,
-                                               with_lambda=True)
+        if current is None:
+            current = f_tap_spiked(problem, radius * v / r, with_lambda=True)
+        value, grad_m, lam_warm = current
         # chain rule through the retraction Jacobian
         grad_w = radius * (basis.rmatvec(grad_m) / r
                            - (grad_m @ v) / r ** 3 * w)
@@ -172,9 +174,10 @@ def tangent_gd(problem, m_init, K_GD, zeta, history=None):
         for _ in range(31):
             w_try = w - step * grad_w
             v_try = m0 + basis.matvec(w_try)
-            phi_try = radius * v_try / np.linalg.norm(v_try)
+            r_try = np.linalg.norm(v_try)
             try:
-                f_tap_spiked(problem, phi_try, lam0=lam_warm)
+                current = f_tap_spiked(problem, radius * v_try / r_try,
+                                       lam0=lam_warm, with_lambda=True)
             except OutOfDomain:
                 step /= 2
                 continue
@@ -185,9 +188,8 @@ def tangent_gd(problem, m_init, K_GD, zeta, history=None):
         if history is not None:
             history.append((value, np.linalg.norm(grad_w) / np.sqrt(n),
                             step))
-        w = w_try
-    v = m0 + basis.matvec(w)
-    return radius * v / np.linalg.norm(v)
+        w, v, r = w_try, v_try, r_try
+    return radius * v / r
 
 
 def write_optimizer_trace(path, history):

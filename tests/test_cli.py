@@ -95,6 +95,24 @@ class TestSample:
         assert read(os.path.join(out1, "summary.csv")) == \
             read(os.path.join(out2, "summary.csv"))
 
+    def test_histogram_keeps_every_sample_on_the_predicted_branch(
+            self, tmp_path):
+        # each rep draws its own spectral sign; the histogram conditions on
+        # a separate spectral vector, so a sample left on the other branch
+        # lands at -10 while the prediction at beta=3 sits at +10
+        spec = write_spec(tmp_path, "hist.json", {
+            "spec_version": 1,
+            "model": {"kind": "spiked", "prior": RAD_PRIOR, "beta": 3.0,
+                      "n": 300},
+            "sampler": {"L": 100, "Delta": 0.05, "K_AMP": 6},
+            "seed": 3, "reps": 24, "emit": ["histogram"]})
+        out = str(tmp_path / "hist")
+        assert main(["sample", "--spec", spec, "--out", out]) == 0
+        value, emp, theo = np.loadtxt(os.path.join(out, "histogram.csv"),
+                                      delimiter=",", skiprows=1).T
+        assert theo[value == 10] > 0.99
+        assert 0.5 * np.abs(emp - theo).sum() <= 0.25
+
     def test_subcritical_numerical_failure_cleans_up(self, tmp_path):
         spec = write_spec(tmp_path, "sub.json", {
             "spec_version": 1,

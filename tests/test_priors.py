@@ -1,5 +1,7 @@
 """Priors and the scalar channel: denoisers, mmse, tilts, Legendre duals."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,67 @@ class TestDenoise:
     def test_underflow_on_nonfinite(self, rademacher):
         with pytest.raises(NumericalUnderflow):
             sl.denoise(rademacher, np.inf, 1.0)
+
+
+def softmax_mean_reference(prior, z, gamma):
+    """Posterior mean by an explicit softmax over the support, one scalar
+    observation at a time, with exactly rounded sums."""
+    if prior.is_discrete:
+        pts, logp = prior.atoms, np.log(prior.weights)
+    else:
+        pts, logp = prior.grid, prior.log_density
+    lw = logp + z * pts - 0.5 * gamma * pts * pts
+    w = np.exp(lw - lw.max())
+    return math.fsum(w * pts) / math.fsum(w)
+
+
+class TestPosteriorMean:
+    @pytest.fixture(scope="class")
+    def kernel_priors(self, rademacher, skewed_two_atom, three_point,
+                      gaussian_mixture):
+        return (rademacher, skewed_two_atom, three_point, gaussian_mixture)
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=st.floats(-50, 50), gamma=st.floats(0.0, 20.0))
+    def test_matches_softmax_reference_and_denoise(self, kernel_priors, z,
+                                                   gamma):
+        zs = np.array([z, -z, z / 3.0, 0.0])
+        for prior in kernel_priors:
+            got = sl.posterior_mean(prior, zs, gamma)
+            ref = [softmax_mean_reference(prior, zi, gamma) for zi in zs]
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+            assert np.array_equal(got, sl.denoise(prior, zs, gamma).mean)
+            assert float(sl.posterior_mean(prior, z, gamma)) == \
+                pytest.approx(ref[0], abs=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=st.floats(-50, 50), dz=st.floats(1e-6, 5.0),
+           gamma=st.floats(0.0, 20.0))
+    def test_monotone_in_z(self, kernel_priors, z, dz, gamma):
+        for prior in kernel_priors:
+            lo, hi = sl.posterior_mean(prior, np.array([z, z + dz]), gamma)
+            assert hi >= lo - 1e-14
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_input_raises_on_every_discrete_branch(
+            self, rademacher, skewed_two_atom, three_point,
+            skewed_three_atom, bad):
+        for prior in (rademacher, skewed_two_atom, three_point,
+                      skewed_three_atom):
+            with pytest.raises(NumericalUnderflow):
+                sl.posterior_mean(prior, bad, 1.0)
+            with pytest.raises(NumericalUnderflow):
+                sl.posterior_mean(prior, np.array([0.5, bad, -2.0]), 1.0)
+            with pytest.raises(NumericalUnderflow):
+                sl.posterior_mean(prior, np.array([0.5, -2.0]), bad)
+
+    def test_continuous_out_of_range_tilt_raises(self, gaussian_mixture):
+        with pytest.raises(DivergentIntegral):
+            sl.posterior_mean(gaussian_mixture, np.array([0.0, np.inf]), 1.0)
+        with pytest.raises(DivergentIntegral):
+            sl.posterior_mean(gaussian_mixture, 500.0, 1.0)
+        with pytest.raises(NumericalUnderflow):
+            sl.posterior_mean(gaussian_mixture, np.array([0.0, np.nan]), 1.0)
 
 
 class TestMmse:

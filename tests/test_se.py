@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stoloc as sl
-from stoloc.errors import NonpositiveGamma, SubcriticalBeta
+from stoloc.errors import NoConvergence, NonpositiveGamma, SubcriticalBeta
 
 
 def bisect_fixed_point(prior, beta, t, lo, hi, tol=1e-12):
@@ -63,6 +63,13 @@ class TestSpikedSE:
             assert all(0.0 <= q <= 1.0 for q in qs)
             assert all(a <= b + 1e-12 for a, b in zip(qs, qs[1:]))
 
+    def test_fixed_point_budget_exhausted_raises(self, monkeypatch):
+        # a fresh prior, so no cached fixed point answers the call
+        prior = sl.Prior.discrete([-1.0, 1.0], [0.5, 0.5])
+        monkeypatch.setattr(sl.se, "FIXED_POINT_MAX_STEPS", 1)
+        with pytest.raises(NoConvergence):
+            sl.run_se_spiked(prior, 2.0, 0.0, 3)
+
 
 class TestPhiSpiked:
     def test_reduces_to_mutual_info_at_t(self, rademacher):
@@ -108,6 +115,13 @@ class TestLinearSE:
         np.testing.assert_allclose(
             tr.onsager_xi, -5.0 * 0.5 / (0.5 + tr.Es[1:]))
         np.testing.assert_allclose(tr.onsager_eta, tr.Es[1:] / 0.5)
+
+    def test_fixed_point_budget_exhausted_raises(self, monkeypatch):
+        prior = sl.Prior.discrete([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25],
+                                  normalize=True)
+        monkeypatch.setattr(sl.se, "FIXED_POINT_MAX_STEPS", 1)
+        with pytest.raises(NoConvergence):
+            sl.run_se_linear(prior, 2.0, 0.25, 0.0, 3)
 
 
 class TestPhiLinear:

@@ -165,6 +165,27 @@ class TestTangentGd:
         sl.tangent_gd(prob, amp.m_hat, 200, 0.01, history=hist)
         assert hist[-1][1] <= hist[0][1] / 10.0
 
+    def test_accepted_trial_evaluation_is_reused(self, gaussian_mixture,
+                                                 monkeypatch):
+        inst = sl.gen_spiked(gaussian_mixture, 3.0, 120, seed=34)
+        nu = sl.spectral_init(inst.X, 3.0, method="iterative")
+        amp = sl.amp_spiked(inst.X, np.zeros(120), 0.0, 3.0,
+                            gaussian_mixture, 8, nu)
+        prob = sl.spiked_tap_problem(inst.X, np.zeros(120), 3.0, 0.0,
+                                     gaussian_mixture)
+        calls = []
+        f_tap = sl.tap.f_tap_spiked
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return f_tap(*args, **kwargs)
+
+        monkeypatch.setattr(sl.tap, "f_tap_spiked", counted)
+        hist = []
+        sl.tangent_gd(prob, amp.m_hat, 5, 0.01, history=hist)
+        halvings = sum(int(round(np.log2(0.01 / h[2]))) for h in hist)
+        assert len(calls) == 5 + 1 + halvings
+
 
 class TestTapLinearState:
     def test_from_natural_consistency(self, three_point):
