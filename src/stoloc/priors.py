@@ -17,10 +17,12 @@ Conventions:
 
 The posterior mean has one kernel, :func:`posterior_mean`, which every
 AMP iteration calls and :func:`denoise` (mean, variance and second moment)
-builds on. On two atoms ``{x0, x1}`` it is the closed form
-``mid + half * tanh(half * z + c)`` (``tanh(z)`` for Z2); on other discrete
-priors it loops over the atoms with a running max and builds no
-``(..., s)`` array; on continuous priors it is the grid softmax. Non-finite
+shares. On two atoms ``{x0, x1}`` it is the closed form
+``mid + half * tanh(half * z + c)`` (``tanh(z)`` for Z2), and the second
+moment is affine in it. Every other tilted moment goes through
+``_tilt_moments_raw``: on discrete priors a loop over the atoms with a
+running max that builds no ``(..., s)`` array, on continuous priors the grid
+softmax; both compute the second moment only when asked. Non-finite
 observations raise :class:`NumericalUnderflow` on every branch.
 
 All exponentials are evaluated with max-subtraction; continuous-prior
@@ -346,95 +348,104 @@ def _tilt_logweights(prior, lam, gamma):
     return lw
 
 
-def _tilt_softmax(prior, lam, gamma):
-    """Unnormalized weights ``w`` (support axis last, max-subtracted) of
-    the tilted measure and their sums."""
+def _tilt_moments_raw(prior, lam, gamma, second=True):
+    """(m, s) of the tilted measure, vectorized over lam/gamma; ``s`` is
+    None unless ``second``. Discrete priors loop over the atoms
+    (:func:`_atom_loop_moments`); continuous priors take the grid softmax."""
+    if prior.is_discrete:
+        return _atom_loop_moments(prior, lam, gamma, second)
+    pts = prior.grid
     lw = _tilt_logweights(prior, lam, gamma)
     mx = np.max(lw, axis=-1, keepdims=True)
     if not np.all(np.isfinite(mx)):
         raise NumericalUnderflow("tilted weights are not representable")
     np.subtract(lw, mx, out=lw)
     w = np.exp(lw, out=lw)
-    return w, np.sum(w, axis=-1)
+    z = np.sum(w, axis=-1)
+    return (w @ pts) / z, (w @ (pts * pts)) / z if second else None
 
 
-def _tilt_moments_raw(prior, lam, gamma):
-    """(m, s) of the tilted measure, vectorized over lam/gamma."""
-    pts, _ = prior._points()
-    w, z = _tilt_softmax(prior, lam, gamma)
-    return (w @ pts) / z, (w @ (pts * pts)) / z
-
-
-def posterior_mean(prior, z, gamma):
-    """Posterior mean ``F(z; gamma)`` of Theta given ``gamma*Theta +
-    sqrt(gamma)*G = z``, entrywise over ``z`` (``gamma`` broadcasts).
-
-    The only place the mean is computed: :func:`denoise` takes its
-    ``mean`` from here. Non-finite input raises
-    :class:`NumericalUnderflow`; tilts that push a continuous prior's mass
-    off its grid raise :class:`DivergentIntegral`.
-    """
-    z = np.asarray(z, dtype=float)
+def _atom_loop_moments(prior, lam, gamma, second):
+    """Tilted (m, s) over a discrete support: one pass over the atoms for
+    the running max and one for the sums, so no ``(..., s)`` array is
+    built."""
+    atoms = prior.atoms
+    lam = np.asarray(lam, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim:
-        z, gamma = np.broadcast_arrays(z, gamma)
-    if z.ndim == 0:
-        return posterior_mean(prior, z[None], gamma)[0]
-    pts, logp = prior._points()
-    if is_two_atom(prior):
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(gamma))):
-            raise NumericalUnderflow("tilted weights are not representable")
-        # mid + half * tanh(d/2), d the log-odds of the upper atom
-        x0, x1 = pts
-        mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-        out = np.multiply(z, half)
-        out += 0.5 * (logp[1] - logp[0]) - gamma * (half * mid)
-        np.tanh(out, out=out)
-        out *= half
-        out += mid
-        return out
-    if prior.is_discrete:
-        return _atom_loop_mean(pts, logp, z, gamma)
-    _check_tilt_in_range(prior, z, gamma)
-    w, zsum = _tilt_softmax(prior, z, gamma)
-    return (w @ pts) / zsum
-
-
-def _atom_loop_mean(atoms, logp, z, gamma):
-    """Softmax mean over a small support, one pass per atom for the max
-    and one for the sums, so no ``(..., s)`` array is built."""
-    consts = logp - 0.5 * gamma[..., None] * atoms * atoms
-    lw = np.empty(z.shape)
-    mx = np.full(z.shape, -np.inf)
+    consts = np.log(prior.weights) - 0.5 * gamma[..., None] * atoms * atoms
+    shape = np.broadcast_shapes(lam.shape, gamma.shape)
+    lw = np.empty(shape)
+    mx = np.full(shape, -np.inf)
     for j, a in enumerate(atoms):
-        np.multiply(z, a, out=lw)
+        np.multiply(lam, a, out=lw)
         lw += consts[..., j]
         np.maximum(mx, lw, out=mx)
     if not np.all(np.isfinite(mx)):
         raise NumericalUnderflow("tilted weights are not representable")
-    num = np.zeros(z.shape)
-    den = np.zeros(z.shape)
+    den = np.zeros(shape)
+    num = np.zeros(shape)
+    sq = np.zeros(shape) if second else None
     for j, a in enumerate(atoms):
-        np.multiply(z, a, out=lw)
+        np.multiply(lam, a, out=lw)
         lw += consts[..., j]
         lw -= mx
         np.exp(lw, out=lw)
         den += lw
         lw *= a
         num += lw
+        if second:
+            lw *= a
+            sq += lw
     num /= den
-    return num
+    if second:
+        sq /= den
+        return num[()], sq[()]
+    return num[()], None
+
+
+def posterior_mean(prior, z, gamma):
+    """Posterior mean ``F(z; gamma)`` of Theta given ``gamma*Theta +
+    sqrt(gamma)*G = z``, entrywise over ``z`` (``gamma`` broadcasts).
+
+    The mean kernel of every AMP iteration. :func:`denoise` shares it, so
+    its ``mean`` equals this one bit for bit. Non-finite input raises
+    :class:`NumericalUnderflow`; tilts that push a continuous prior's mass
+    off its grid raise :class:`DivergentIntegral`.
+    """
+    z = np.asarray(z, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    if not is_two_atom(prior):
+        if not prior.is_discrete:
+            _check_tilt_in_range(prior, z, gamma)
+        return _tilt_moments_raw(prior, z, gamma, second=False)[0]
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(gamma))):
+        raise NumericalUnderflow("tilted weights are not representable")
+    # mid + half * tanh(d/2), d the log-odds of the upper atom
+    (x0, x1), logp = prior.atoms, np.log(prior.weights)
+    mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+    out = np.empty(np.broadcast_shapes(z.shape, gamma.shape))
+    np.multiply(z, half, out=out)
+    out += 0.5 * (logp[1] - logp[0]) - gamma * (half * mid)
+    np.tanh(out, out=out)
+    out *= half
+    out += mid
+    return out[()]
 
 
 def denoise(prior, z, gamma):
     """Posterior moments of Theta from ``gamma*Theta + sqrt(gamma)*G = z``.
 
     Accepts scalar or array ``z`` and returns a :class:`ChannelEval` of
-    matching shape. The mean is :func:`posterior_mean`'s; AMP iterations
-    that need only the mean call that directly.
+    matching shape. The mean is :func:`posterior_mean`'s; on two atoms the
+    second moment is its affine function, elsewhere it comes from the same
+    pass as the mean. AMP iterations that need only the mean call
+    :func:`posterior_mean` directly.
     """
-    m = posterior_mean(prior, z, gamma)
-    _, s = _tilt_moments_raw(prior, z, gamma)
+    if is_two_atom(prior):
+        m = posterior_mean(prior, z, gamma)
+        s = _two_atom_second_moment(prior, m)
+    else:
+        m, s = tilted_moments(prior, z, gamma)
     var = np.maximum(s - m * m, 0.0)
     return ChannelEval(mean=m, variance=var, second_moment=s)
 

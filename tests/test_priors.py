@@ -130,16 +130,17 @@ class TestDenoise:
             sl.denoise(rademacher, np.inf, 1.0)
 
 
-def softmax_mean_reference(prior, z, gamma):
-    """Posterior mean by an explicit softmax over the support, one scalar
-    observation at a time, with exactly rounded sums."""
+def softmax_moments_reference(prior, z, gamma):
+    """Posterior mean and second moment by an explicit softmax over the
+    support, one scalar observation at a time, with exactly rounded sums."""
     if prior.is_discrete:
         pts, logp = prior.atoms, np.log(prior.weights)
     else:
         pts, logp = prior.grid, prior.log_density
     lw = logp + z * pts - 0.5 * gamma * pts * pts
     w = np.exp(lw - lw.max())
-    return math.fsum(w * pts) / math.fsum(w)
+    total = math.fsum(w)
+    return math.fsum(w * pts) / total, math.fsum(w * pts * pts) / total
 
 
 class TestPosteriorMean:
@@ -155,18 +156,23 @@ class TestPosteriorMean:
         zs = np.array([z, -z, z / 3.0, 0.0])
         for prior in kernel_priors:
             got = sl.posterior_mean(prior, zs, gamma)
-            ref = [softmax_mean_reference(prior, zi, gamma) for zi in zs]
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
-            assert np.array_equal(got, sl.denoise(prior, zs, gamma).mean)
+            ref_m, ref_s = np.array(
+                [softmax_moments_reference(prior, zi, gamma) for zi in zs]).T
+            np.testing.assert_allclose(got, ref_m, rtol=0, atol=1e-14)
+            ev = sl.denoise(prior, zs, gamma)
+            assert np.array_equal(got, ev.mean)
+            np.testing.assert_allclose(ev.second_moment, ref_s, rtol=0,
+                                       atol=1e-13)
             assert float(sl.posterior_mean(prior, z, gamma)) == \
-                pytest.approx(ref[0], abs=1e-14)
+                pytest.approx(ref_m[0], abs=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(z=st.floats(-50, 50), dz=st.floats(1e-6, 5.0),
            gamma=st.floats(0.0, 20.0))
     def test_monotone_in_z(self, kernel_priors, z, dz, gamma):
+        zs = np.array([z, min(z + dz, 50.0)])
         for prior in kernel_priors:
-            lo, hi = sl.posterior_mean(prior, np.array([z, z + dz]), gamma)
+            lo, hi = sl.posterior_mean(prior, zs, gamma)
             assert hi >= lo - 1e-14
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
