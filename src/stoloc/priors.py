@@ -445,7 +445,9 @@ def denoise(prior, z, gamma):
         m = posterior_mean(prior, z, gamma)
         s = _two_atom_second_moment(prior, m)
     else:
-        m, s = tilted_moments(prior, z, gamma)
+        if not prior.is_discrete:
+            _check_tilt_in_range(prior, z, gamma)
+        m, s = _tilt_moments_raw(prior, z, gamma)
     var = np.maximum(s - m * m, 0.0)
     return ChannelEval(mean=m, variance=var, second_moment=s)
 
