@@ -67,7 +67,7 @@ def trace_rows(state, prior, se_gammas):
 
 
 def amp_spiked(x, y, t, beta, prior, K, nu, theta=None,
-               allow_subcritical=False, record_trace=None):
+               allow_subcritical=False):
     """Bayes AMP for the spiked model at side-information time ``t``.
 
     ``z^{k+1} = beta X m^k + y - b^k m^{k-1}`` with ``m^k = F(z^k; gamma^k)``,
@@ -83,18 +83,17 @@ def amp_spiked(x, y, t, beta, prior, K, nu, theta=None,
     if y.ndim == 2 and nu.ndim == 1:
         nu = np.broadcast_to(nu[:, None], y.shape).copy()
     se = run_se_spiked(prior, beta, t, K, allow_subcritical=allow_subcritical)
-    record = (theta is not None) if record_trace is None else record_trace
     trace = {}
     z = nu + np.zeros_like(y)
     m = posterior_mean(prior, z, se.gammas[0])
     m_prev = np.zeros_like(m)
-    if record:
+    if theta is not None:
         _record(trace, np.atleast_2d(m.T).T, theta)
     for k in range(int(K)):
         z = beta * (x @ m) + y - se.onsager[k] * m_prev
         m_prev = m
         m = posterior_mean(prior, z, se.gammas[k + 1])
-        if record:
+        if theta is not None:
             _record(trace, np.atleast_2d(m.T).T, theta)
     kk = int(K)
     return AmpState(k=kk, m_hat=m, m_hat_prev=m_prev, z=z,
@@ -127,7 +126,7 @@ def sign_align(prior, beta, nu):
     return 1 if tn >= 0 else -1
 
 
-def amp_matrix(y_mat, t, prior, K, nu_t, theta=None, record_trace=None):
+def amp_matrix(y_mat, t, prior, K, nu_t, theta=None):
     """Bayes AMP on the matrix-valued observation process at time ``t > 1``.
 
     ``z^{k+1} = Y m^k - b~^k m^{k-1}`` with ``m^k = F(z^k; alpha~^k)``, the
@@ -144,26 +143,24 @@ def amp_matrix(y_mat, t, prior, K, nu_t, theta=None, record_trace=None):
     alphas = [t - 1.0]
     for _ in range(int(K)):
         alphas.append(t * (1.0 - mmse(prior, alphas[-1])))
-    record = (theta is not None) if record_trace is None else record_trace
     trace = {}
     z = nu_t.copy()
     m = posterior_mean(prior, z, alphas[0])
     m_prev = np.zeros_like(m)
-    if record:
+    if theta is not None:
         _record(trace, np.atleast_2d(m.T).T, theta)
     for k in range(int(K)):
         b_k = t * mmse(prior, alphas[k])
         z = y_mat @ m - b_k * m_prev
         m_prev = m
         m = posterior_mean(prior, z, alphas[k + 1])
-        if record:
+        if theta is not None:
             _record(trace, np.atleast_2d(m.T).T, theta)
     return AmpState(k=int(K), m_hat=m, m_hat_prev=m_prev, z=z,
                     gamma=float(alphas[int(K)]), trace=trace)
 
 
-def amp_linear_side(x, y0, z_side, t, prior, sigma2, delta, K, theta=None,
-                    record_trace=None):
+def amp_linear_side(x, y0, z_side, t, prior, sigma2, delta, K, theta=None):
     """Bayes AMP for the linear model with Gaussian side information.
 
     Alternates ``a^k = X g_k(b^k, z) - eta_k f_{k-1}(a^{k-1}, y0)`` and
@@ -190,7 +187,6 @@ def amp_linear_side(x, y0, z_side, t, prior, sigma2, delta, K, theta=None,
     def f(k, a_vec):
         return sigma2 * (y0 - a_vec) / (sigma2 + se.Es[k + 1])
 
-    record = (theta is not None) if record_trace is None else record_trace
     trace = {}
     a_prev = np.zeros_like(y0)
     b = x.T @ f(-1, a_prev)
@@ -198,7 +194,7 @@ def amp_linear_side(x, y0, z_side, t, prior, sigma2, delta, K, theta=None,
     # combined data + side channel strength
     for k in range(int(K)):
         m = posterior_mean(prior, inv_s2 * b + z_side, se.gammas[k])
-        if record:
+        if theta is not None:
             _record(trace, np.atleast_2d(m.T).T, theta)
         a = x @ m - se.onsager_eta[k] * f(k - 1, a_prev)
         b = x.T @ f(k, a) - se.onsager_xi[k] * m
@@ -207,18 +203,17 @@ def amp_linear_side(x, y0, z_side, t, prior, sigma2, delta, K, theta=None,
     kk = int(K)
     obs = inv_s2 * b + z_side
     ev = denoise(prior, obs, se.gammas[kk])
-    if record:
+    if theta is not None:
         _record(trace, np.atleast_2d(ev.mean.T).T, theta)
     return AmpState(k=kk, m_hat=ev.mean, s_hat=ev.second_moment,
                     a=a_prev, b=b, gamma=float(se.gammas[kk]), lam=obs,
                     trace=trace)
 
 
-def amp_linear(x, y0, prior, sigma2, delta, K, theta=None,
-               record_trace=None):
+def amp_linear(x, y0, prior, sigma2, delta, K, theta=None):
     """Bayes AMP for the plain linear model (side information t=0, z=0)."""
     p = x.shape[1]
     y0 = np.asarray(y0, dtype=float)
     z_shape = (p,) if y0.ndim == 1 else (p, y0.shape[1])
     return amp_linear_side(x, y0, np.zeros(z_shape), 0.0, prior, sigma2,
-                           delta, K, theta=theta, record_trace=record_trace)
+                           delta, K, theta=theta)

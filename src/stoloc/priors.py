@@ -504,8 +504,9 @@ def mmse(prior, gamma):
     g = float(gamma)
     if g < 0:
         raise ValueError("gamma must be nonnegative")
-    key = round(g, 12)
-    hit = prior._mmse_cache.get(key)
+    # keyed by the exact float: a rounded key would answer for a nearby
+    # gamma and make the fixed-point map piecewise constant
+    hit = prior._mmse_cache.get(g)
     if hit is not None:
         return hit
     if g <= 1e-14:
@@ -517,7 +518,7 @@ def mmse(prior, gamma):
     else:
         val = prior.second_moment - _mean_sq_continuous(prior, g)
     val = float(min(max(val, 0.0), prior.variance))
-    prior._mmse_cache[key] = val
+    prior._mmse_cache[g] = val
     return val
 
 

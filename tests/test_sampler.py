@@ -5,6 +5,7 @@ import pytest
 
 import stoloc as sl
 from stoloc.errors import (
+    DimensionMismatch,
     NonpositiveTopEigenvalue,
     OracleFailure,
     SubcriticalBeta,
@@ -227,6 +228,134 @@ class TestSampleSpikedContinuous:
         _, grad = sl.f_tap_spiked(prob, m_drift)
         g_tan = grad - (grad @ m_drift) / (m_drift @ m_drift) * m_drift
         assert np.sum(g_tan ** 2) / n <= 0.05
+
+
+def _se_depth(prior, beta, t, K):
+    """The depth rule written against the state-evolution trace."""
+    tr = sl.run_se_spiked(prior, beta, t, K)
+    near = np.flatnonzero(np.abs(tr.gammas - tr.gamma_star)
+                          <= sl.se.AMP_SE_RTOL * tr.gamma_star)
+    return int(near[0]) if near.size else K
+
+
+def _spiked_runs(prior, x, beta, cfg, nu, **kw):
+    """Records of the three spiked samplers on one instance."""
+    if prior.is_discrete:
+        return [sl.sample_spiked_discrete(x, beta, prior, cfg, nu=nu, **kw)]\
+            + sl.sample_spiked_discrete_many(x, beta, prior, cfg, 3, nu=nu,
+                                             **kw)
+    return [sl.sample_spiked_continuous(x, beta, prior, cfg, nu=nu, **kw)]
+
+
+class TestScheduledAmpDepth:
+    @pytest.mark.parametrize("K", [0, 3, 15])
+    def test_recorded_depths_follow_state_evolution(self, rademacher, K):
+        inst = sl.gen_spiked(rademacher, 2.0, 60, seed=40)
+        nu = sl.spectral_init(inst.X, 2.0)
+        cfg = sl.SamplerConfig(L=12, Delta=0.5, K_AMP=K, seed=40)
+        expected = [_se_depth(rademacher, 2.0, max(ell * 0.5, T_FLOOR), K)
+                    for ell in range(13)]
+        recs = _spiked_runs(rademacher, inst.X, 2.0, cfg, nu)
+        for rec in recs:
+            depths = rec.diagnostics["amp_iterations"]
+            assert depths.shape == (13,)
+            assert np.all(depths <= K)
+            np.testing.assert_array_equal(depths, expected)
+        if K == 15:     # the rule stops early once t has grown
+            assert expected[0] == 11 and expected[-1] < 11
+
+    def test_continuous_sampler_records_depths(self, gaussian_mixture):
+        inst = sl.gen_spiked(gaussian_mixture, 5.0, 80, seed=41)
+        nu = sl.spectral_init(inst.X, 5.0)
+        cfg = sl.SamplerConfig(L=3, Delta=0.5, K_AMP=10, K_GD=1, zeta=0.02,
+                               seed=41)
+        expected = [_se_depth(gaussian_mixture, 5.0, max(ell * 0.5, T_FLOOR),
+                              10) for ell in range(4)]
+        rec, = _spiked_runs(gaussian_mixture, inst.X, 5.0, cfg, nu)
+        np.testing.assert_array_equal(rec.diagnostics["amp_iterations"],
+                                      expected)
+        assert max(expected) < 10
+
+    def test_subcritical_runs_to_cap(self, rademacher):
+        inst = sl.gen_spiked(rademacher, 0.8, 40, seed=42)
+        cfg = sl.SamplerConfig(L=4, Delta=0.5, K_AMP=5, seed=42)
+        for rec in _spiked_runs(rademacher, inst.X, 0.8, cfg, None,
+                                allow_subcritical=True):
+            np.testing.assert_array_equal(rec.diagnostics["amp_iterations"],
+                                          [5] * 5)
+
+    def test_scheduled_drift_tracks_full_depth(self, rademacher):
+        # the sampler's own y stays on the branch of nu; there the drift at
+        # the scheduled depth is within 5e-3 RMS of the K_AMP = 15 drift
+        # (largest gap over instances 1-30 at n = 400, t <= 5 and
+        # y = t theta + sqrt(t) g on the branch of nu: 1.3e-3). Depth 2 is
+        # far from converged and must exceed the bound.
+        n, beta, bound = 400, 2.0, 5e-3
+        for seed in (1, 2, 3):
+            inst = sl.gen_spiked(rademacher, beta, n, seed=seed)
+            nu = sl.spectral_init(inst.X, beta, rng=stream(seed, "eig"))
+            cfg = sl.SamplerConfig(L=10, Delta=0.5, K_AMP=15, seed=seed,
+                                   record_trajectory=True)
+            rec = sl.sample_spiked_discrete(inst.X, beta, rademacher, cfg,
+                                            nu=nu)
+            for ell in (0, 1, 4, 10):
+                t = max(ell * 0.5, T_FLOOR)
+                y = rec.y_trajectory[ell]
+                full = sl.amp_spiked(inst.X, y, t, beta, rademacher, 15,
+                                     nu).m_hat
+                rms = np.sqrt(np.mean((rec.drift_trajectory[ell] - full) ** 2))
+                assert rms <= bound
+            short = sl.amp_spiked(inst.X, np.zeros(n), T_FLOOR, beta,
+                                  rademacher, 2, nu).m_hat
+            full = sl.amp_spiked(inst.X, np.zeros(n), T_FLOOR, beta,
+                                 rademacher, 15, nu).m_hat
+            assert np.sqrt(np.mean((short - full) ** 2)) > bound
+
+
+class TestSpikedInputChecks:
+    """X is validated once per call, before any spectral solve or AMP
+    iteration (``nu`` is passed, so no eigensolver sees the matrix)."""
+
+    @staticmethod
+    def _broken(kind):
+        x = sl.gen_spiked(sl.Prior.discrete([-1.0, 1.0], [0.5, 0.5]), 2.0,
+                          12, seed=43).X.copy()
+        if kind == "nonsquare":
+            return x[:, :-1], DimensionMismatch
+        if kind == "flat":
+            return x.ravel()[:12], DimensionMismatch
+        if kind == "nonfinite":
+            x[0, 1] = x[1, 0] = np.nan
+            return x, ValueError
+        if kind == "asymmetric":
+            x[0, 1] += 0.5
+            return x, ValueError
+        raise AssertionError(kind)
+
+    @pytest.mark.parametrize("kind", ["nonsquare", "flat", "nonfinite",
+                                      "asymmetric"])
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_rejected(self, rademacher, gaussian_mixture, kind, continuous):
+        x, error = self._broken(kind)
+        prior = gaussian_mixture if continuous else rademacher
+        cfg = sl.SamplerConfig(L=2, Delta=0.1, K_AMP=2, K_GD=1, zeta=0.02,
+                               seed=43)
+        nu = np.full(12, 2.0)
+        samplers = [lambda: sl.sample_spiked_continuous(
+            x, 2.0, prior, cfg, nu=nu)] if continuous else [
+            lambda: sl.sample_spiked_discrete(x, 2.0, prior, cfg, nu=nu),
+            lambda: sl.sample_spiked_discrete_many(x, 2.0, prior, cfg, 2,
+                                                   nu=nu)]
+        for run in samplers:
+            with pytest.raises(error):
+                run()
+
+    def test_rounding_level_asymmetry_accepted(self, rademacher):
+        inst = sl.gen_spiked(rademacher, 2.0, 12, seed=44)
+        x = inst.X.copy()
+        x[0, 1] *= 1.0 + 1e-15
+        cfg = sl.SamplerConfig(L=2, Delta=0.1, K_AMP=2, seed=44)
+        sl.sample_spiked_discrete(x, 2.0, rademacher, cfg)
 
 
 class TestSampleLinearHighSnr:

@@ -70,6 +70,47 @@ class TestSpikedSE:
         with pytest.raises(NoConvergence):
             sl.run_se_spiked(prior, 2.0, 0.0, 3)
 
+    def test_fixed_point_distance_near_threshold(self):
+        # at beta = 1.02 the recursion contracts by r ~ 0.96 per step, so a
+        # step of 1e-12 still leaves ~ r/(1-r) * 1e-12 to go; the distance
+        # bound keeps iterating until that is below FIXED_POINT_TOL
+        beta, tol = 1.02, sl.se.FIXED_POINT_TOL
+        prior = sl.Prior.discrete([-1.0, 1.0], [0.5, 0.5])
+        ref = bisect_fixed_point(prior, beta, 0.0, 0.02, 1.0, tol=1e-16)
+        g = beta ** 2 - 1.0
+        while True:         # the step test |g_{k+1} - g_k| <= 1e-12
+            g_next = beta ** 2 * (1.0 - sl.mmse(prior, g))
+            if abs(g_next - g) <= tol:
+                break
+            g = g_next
+        assert abs(g_next - ref) > 10 * tol
+        # the bound uses the observed ratio, an estimate of the true one
+        assert abs(sl.run_se_spiked(prior, beta, 0.0, 1).gamma_star
+                   - ref) <= 2 * tol
+
+
+class TestAmpDepth:
+    def test_first_k_within_rtol_of_fixed_point(self, rademacher):
+        for beta in (1.5, 2.0, 3.0):
+            for t in (1e-12, 0.5, 2.0, 10.0):
+                tr = sl.run_se_spiked(rademacher, beta, t, 15)
+                k = sl.se.amp_depth(rademacher, beta, t, 15)
+                gap = np.abs(tr.gammas - tr.gamma_star) / tr.gamma_star
+                assert 0 <= k <= 15
+                if k < 15:
+                    assert gap[k] <= sl.se.AMP_SE_RTOL
+                assert np.all(gap[:k] > sl.se.AMP_SE_RTOL)
+
+    def test_cap_binds(self, rademacher):
+        # beta = 2, t = 0 needs 11 iterations to reach 1e-8
+        assert sl.se.amp_depth(rademacher, 2.0, 0.0, 15) == 11
+        for K in (0, 1, 5, 11):
+            assert sl.se.amp_depth(rademacher, 2.0, 0.0, K) == K
+
+    def test_subcritical_runs_to_cap(self, rademacher):
+        for t in (1e-12, 1.0):
+            assert sl.se.amp_depth(rademacher, 0.8, t, 7) == 7
+
 
 class TestPhiSpiked:
     def test_reduces_to_mutual_info_at_t(self, rademacher):
